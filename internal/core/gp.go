@@ -17,7 +17,9 @@ import (
 type gpStats struct {
 	LambdaRounds int
 	CGIters      int
-	Overflow     float64
+	// FuncEvals counts objective evaluations (nlopt.Result.FuncEvals).
+	FuncEvals int
+	Overflow  float64
 	// FinalLambda and FinalMu are the density and fence weights at
 	// termination; the routability loop resumes respreading from (a
 	// fraction of) them instead of re-annealing from scratch, which would
@@ -184,13 +186,13 @@ func (s *levelSolver) objective(v []float64, grad []float64) float64 {
 		gx, gy = grad[:n], grad[n:]
 	}
 	f := s.model.Eval(s.nl, x, y, gx, gy)
+	// Value-only calls (the line-search trials, most of them) leave the
+	// term buffers alone: nothing reads them.
 	if s.lambda > 0 {
-		for i := range s.gdx {
-			s.gdx[i] = 0
-			s.gdy[i] = 0
-		}
 		var dgx, dgy []float64
 		if grad != nil {
+			clear(s.gdx)
+			clear(s.gdy)
 			dgx, dgy = s.gdx, s.gdy
 		}
 		den := s.grid.Penalty(s.objs, x, y, dgx, dgy)
@@ -203,12 +205,10 @@ func (s *levelSolver) objective(v []float64, grad []float64) float64 {
 		}
 	}
 	if s.mu > 0 {
-		for i := range s.gfx {
-			s.gfx[i] = 0
-			s.gfy[i] = 0
-		}
 		var fgx, fgy []float64
 		if grad != nil {
+			clear(s.gfx)
+			clear(s.gfy)
 			fgx, fgy = s.gfx, s.gfy
 		}
 		fen := s.fencePenalty(x, y, fgx, fgy)
@@ -376,6 +376,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			Stop:     stop,
 		})
 		stats.CGIters += res.Iters
+		stats.FuncEvals += res.FuncEvals
 		iterBase += res.Iters
 		stats.Overflow = s.ovGrid.Overflow(s.objs, v[:n], v[n:])
 		fenced := s.maxFenceDist(v[:n], v[n:])
@@ -389,6 +390,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		prevFine = fineOv
 		if rsp != nil {
 			rsp.Add("cg_iters", int64(res.Iters))
+			rsp.Add("func_evals", int64(res.FuncEvals))
 			rsp.End()
 		}
 		if s.rec.Enabled() {

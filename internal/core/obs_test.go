@@ -70,3 +70,39 @@ type resultSnapshot struct {
 	orient  []int
 	metrics route.Metrics
 }
+
+// TestSpansCountObjectiveEvaluations pins the func_evals counters: every
+// GP round span carries the CG run's objective evaluations next to its
+// iterations, and every level span carries the sum over its rounds.
+func TestSpansCountObjectiveEvaluations(t *testing.T) {
+	rec := obs.New(obs.Config{})
+	d := gen.MustGenerate(smallCfg())
+	if _, err := MustNew(Config{Workers: 1, DisableRoutability: true, DisableDP: true, Obs: rec}).Place(d); err != nil {
+		t.Fatal(err)
+	}
+	var gp *obs.SpanRecord
+	for _, s := range rec.BuildReport().Spans {
+		if s.Name == "gp" {
+			gp = s
+		}
+	}
+	if gp == nil || len(gp.Children) == 0 {
+		t.Fatal("no gp level spans recorded")
+	}
+	for _, lvl := range gp.Children {
+		var sum int64
+		for _, r := range lvl.Children {
+			evals, iters := r.Counters["func_evals"], r.Counters["cg_iters"]
+			// One evaluation starts a CG run, and every iteration but a
+			// final one that stops on the gradient test makes at least
+			// one more.
+			if evals == 0 || evals < iters {
+				t.Errorf("%s/%s: func_evals %d for %d cg_iters", lvl.Name, r.Name, evals, iters)
+			}
+			sum += evals
+		}
+		if got := lvl.Counters["func_evals"]; got != sum || got == 0 {
+			t.Errorf("%s: func_evals %d, its rounds sum to %d", lvl.Name, got, sum)
+		}
+	}
+}

@@ -132,6 +132,7 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 		if s.span != nil {
 			s.span.Add("lambda_rounds", int64(st.LambdaRounds))
 			s.span.Add("cg_iters", int64(st.CGIters))
+			s.span.Add("func_evals", int64(st.FuncEvals))
 			s.span.End()
 		}
 		res.LambdaRounds += st.LambdaRounds

@@ -129,6 +129,7 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 		if s.span != nil {
 			s.span.Add("lambda_rounds", int64(gst.LambdaRounds))
 			s.span.Add("cg_iters", int64(gst.CGIters))
+			s.span.Add("func_evals", int64(gst.FuncEvals))
 			s.span.End()
 		}
 		res.LambdaRounds = st.Round + gst.LambdaRounds

@@ -45,12 +45,11 @@ type Grid struct {
 	// capArea[b] = Target · (binArea − base[b]), the allowed movable area.
 	capArea []float64
 
-	// scratch reused across Penalty calls.
-	demand   []float64
-	px, py   []float64 // per-object bell values along each axis
-	dpx, dpy []float64 // per-object bell derivatives (gradient pass)
+	// demand is the smoothed movable area per bin from the last Penalty.
+	demand []float64
 
 	// workers > 1 enables the parallel Penalty path (see SetWorkers).
+	// scratch[k] is worker k's; the serial path uses scratch[0].
 	workers int
 	scratch []bellScratch
 }
@@ -69,9 +68,10 @@ func NewGrid(die geom.Rect, nx, ny int, target float64) *Grid {
 	g := &Grid{
 		Die: die, NX: nx, NY: ny,
 		BinW: die.W() / float64(nx), BinH: die.H() / float64(ny),
-		Target: target,
-		base:   make([]float64, nx*ny),
-		demand: make([]float64, nx*ny),
+		Target:  target,
+		base:    make([]float64, nx*ny),
+		demand:  make([]float64, nx*ny),
+		scratch: make([]bellScratch, 1),
 	}
 	g.recomputeCap()
 	return g
@@ -158,29 +158,64 @@ func bellRange(c, span, origin, step float64, n int) (int, int) {
 	return b0, b1
 }
 
-// bell evaluates the bell-shaped potential and its derivative for center
-// distance d ≥ 0, object half-width hw and bin width wb:
+// bellAxis is the bell-shaped potential of one object along one axis, as
+// a function of the distance d ≥ 0 from the object center to a bin
+// center, for object half-width hw and bin width wb:
 //
 //	p(d) = 1 − a·d²                    for d ≤ hw + wb
 //	p(d) = b·(d − hw − 2wb)²           for hw + wb < d ≤ hw + 2wb
 //	p(d) = 0                           beyond
 //
-// with a, b chosen for C¹ continuity.
-func bell(d, hw, wb float64) (p, dp float64) {
+// with a, b chosen for C¹ continuity. They depend only on hw and wb, so
+// they are computed once per object and axis, not once per bin.
+type bellAxis struct {
+	inner, outer float64
+	a, b         float64
+}
+
+func newBellAxis(hw, wb float64) bellAxis {
 	w := 2 * hw
-	inner := hw + wb
-	outer := hw + 2*wb
+	return bellAxis{
+		inner: hw + wb,
+		outer: hw + 2*wb,
+		a:     4 / ((w + 2*wb) * (w + 4*wb)),
+		b:     2 / (wb * (w + 4*wb)),
+	}
+}
+
+// at returns p(d) and its derivative dp/dd.
+func (k *bellAxis) at(d float64) (p, dp float64) {
 	switch {
-	case d <= inner:
-		a := 4 / ((w + 2*wb) * (w + 4*wb))
-		return 1 - a*d*d, -2 * a * d
-	case d <= outer:
-		b := 2 / (wb * (w + 4*wb))
-		t := d - outer
-		return b * t * t, 2 * b * t
+	case d <= k.inner:
+		return 1 - k.a*d*d, -2 * k.a * d
+	case d <= k.outer:
+		t := d - k.outer
+		return k.b * t * t, 2 * k.b * t
 	default:
 		return 0, 0
 	}
+}
+
+// profile writes the bell values of an object centered at c, with
+// effective half-width hw, into p: one per bin along an axis, starting at
+// bin b0, for bins of width wb from origin. When dp is non-nil it also
+// writes the derivatives with respect to c. It returns Σp and Σdp.
+func profile(c, hw, origin, wb float64, b0 int, p, dp []float64) (s, ds float64) {
+	k := newBellAxis(hw, wb)
+	for j := range p {
+		d := c - (origin + (float64(b0+j)+0.5)*wb)
+		v, dv := k.at(math.Abs(d))
+		p[j] = v
+		s += v
+		if dp != nil {
+			if d < 0 {
+				dv = -dv
+			}
+			dp[j] = dv
+			ds += dv
+		}
+	}
+	return s, ds
 }
 
 // effHalf widens an object's half-extent to at least one bin so that the
@@ -293,120 +328,119 @@ func (g *Grid) Penalty(objs []Obj, x, y []float64, gx, gy []float64) float64 {
 	if g.workers > 1 && len(objs) >= 4*g.workers {
 		return g.penaltyParallel(objs, x, y, gx, gy)
 	}
-	nb := g.NX * g.NY
-	for i := 0; i < nb; i++ {
-		g.demand[i] = 0
+	clear(g.demand)
+	g.depositRange(objs, x, y, 0, len(objs), g.demand, &g.scratch[0])
+	total := g.penaltyValue()
+	if gx != nil || gy != nil {
+		g.gradientRange(objs, x, y, 0, len(objs), gx, gy, &g.scratch[0])
 	}
-	// Deposit pass.
-	maxSpan := 0
-	for i := range objs {
-		hw := effHalf(objs[i].HalfW, g.BinW)
-		hh := effHalf(objs[i].HalfH, g.BinH)
-		x0, x1 := bellRange(x[i], hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
-		y0, y1 := bellRange(y[i], hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
-		if n := x1 - x0 + 1; n > maxSpan {
-			maxSpan = n
-		}
-		if n := y1 - y0 + 1; n > maxSpan {
-			maxSpan = n
-		}
-		if cap(g.px) < maxSpan {
-			g.px = make([]float64, maxSpan*2)
-			g.py = make([]float64, maxSpan*2)
-			g.dpx = make([]float64, maxSpan*2)
-			g.dpy = make([]float64, maxSpan*2)
-		}
-		px := g.px[:x1-x0+1]
-		py := g.py[:y1-y0+1]
-		var sx, sy float64
-		for bx := x0; bx <= x1; bx++ {
-			cx := g.Die.Lo.X + (float64(bx)+0.5)*g.BinW
-			p, _ := bell(math.Abs(x[i]-cx), hw, g.BinW)
-			px[bx-x0] = p
-			sx += p
-		}
-		for by := y0; by <= y1; by++ {
-			cy := g.Die.Lo.Y + (float64(by)+0.5)*g.BinH
-			p, _ := bell(math.Abs(y[i]-cy), hh, g.BinH)
-			py[by-y0] = p
-			sy += p
-		}
+	return total
+}
+
+// penaltyValue returns Σ_b (demand_b − capacity_b)².
+func (g *Grid) penaltyValue() float64 {
+	var total float64
+	for b, d := range g.demand {
+		e := d - g.capArea[b]
+		total += e * e
+	}
+	return total
+}
+
+// bellScratch holds one object's bell profiles, and for a parallel worker
+// its private demand slab.
+type bellScratch struct {
+	px, py   []float64
+	dpx, dpy []float64
+	demand   []float64
+}
+
+func (s *bellScratch) ensure(span, bins int) {
+	if cap(s.px) < span {
+		s.px = make([]float64, span*2)
+		s.py = make([]float64, span*2)
+		s.dpx = make([]float64, span*2)
+		s.dpy = make([]float64, span*2)
+	}
+	if len(s.demand) < bins {
+		s.demand = make([]float64, bins)
+	}
+}
+
+// footprint returns o's effective half-extents and the bin ranges its
+// bell support reaches when centered at (cx, cy), and sizes scr for them.
+func (g *Grid) footprint(o *Obj, cx, cy float64, scr *bellScratch) (hw, hh float64, x0, x1, y0, y1 int) {
+	hw = effHalf(o.HalfW, g.BinW)
+	hh = effHalf(o.HalfH, g.BinH)
+	x0, x1 = bellRange(cx, hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
+	y0, y1 = bellRange(cy, hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
+	span := x1 - x0 + 1
+	if y1-y0+1 > span {
+		span = y1 - y0 + 1
+	}
+	scr.ensure(span, 0)
+	return hw, hh, x0, x1, y0, y1
+}
+
+// depositRange deposits objects [lo, hi) into dst using scr.
+func (g *Grid) depositRange(objs []Obj, x, y []float64, lo, hi int, dst []float64, scr *bellScratch) {
+	for i := lo; i < hi; i++ {
+		hw, hh, x0, x1, y0, y1 := g.footprint(&objs[i], x[i], y[i], scr)
+		px := scr.px[:x1-x0+1]
+		py := scr.py[:y1-y0+1]
+		sx, _ := profile(x[i], hw, g.Die.Lo.X, g.BinW, x0, px, nil)
+		sy, _ := profile(y[i], hh, g.Die.Lo.Y, g.BinH, y0, py, nil)
 		if sx <= 0 || sy <= 0 {
 			continue
 		}
 		c := objs[i].Area / (sx * sy)
 		for by := y0; by <= y1; by++ {
-			row := by * g.NX
+			row := dst[by*g.NX+x0 : by*g.NX+x1+1]
 			pyv := py[by-y0]
-			for bx := x0; bx <= x1; bx++ {
-				g.demand[row+bx] += c * px[bx-x0] * pyv
+			for k := range row {
+				row[k] += c * px[k] * pyv
 			}
 		}
 	}
-	// Penalty value.
-	var total float64
-	for b := 0; b < nb; b++ {
-		e := g.demand[b] - g.capArea[b]
-		total += e * e
-	}
-	if gx == nil && gy == nil {
-		return total
-	}
-	// Gradient pass. With per-object normalization c = A/(sx·sy), the
-	// exact derivative of each deposit is
-	//
-	//	∂(c·px·py)/∂x = c · py · (px' − px · sx'/sx)
-	//
-	// where sx' = Σ_b px'(b); the sx'/sx term keeps area conservation
-	// differentiated rather than approximated away.
-	for i := range objs {
-		hw := effHalf(objs[i].HalfW, g.BinW)
-		hh := effHalf(objs[i].HalfH, g.BinH)
-		x0, x1 := bellRange(x[i], hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
-		y0, y1 := bellRange(y[i], hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
-		px := g.px[:x1-x0+1]
-		dpx := g.dpx[:x1-x0+1]
-		py := g.py[:y1-y0+1]
-		dpy := g.dpy[:y1-y0+1]
-		var sx, sy, dsx, dsy float64
-		for bx := x0; bx <= x1; bx++ {
-			cx := g.Die.Lo.X + (float64(bx)+0.5)*g.BinW
-			d := x[i] - cx
-			p, dp := bell(math.Abs(d), hw, g.BinW)
-			if d < 0 {
-				dp = -dp
-			}
-			px[bx-x0] = p
-			dpx[bx-x0] = dp
-			sx += p
-			dsx += dp
-		}
-		for by := y0; by <= y1; by++ {
-			cy := g.Die.Lo.Y + (float64(by)+0.5)*g.BinH
-			d := y[i] - cy
-			p, dp := bell(math.Abs(d), hh, g.BinH)
-			if d < 0 {
-				dp = -dp
-			}
-			py[by-y0] = p
-			dpy[by-y0] = dp
-			sy += p
-			dsy += dp
-		}
+}
+
+// gradientRange accumulates ∂N/∂ for objects [lo, hi) into gx, gy (their
+// own slots only, so ranges may run concurrently). With per-object
+// normalization c = A/(sx·sy), the exact derivative of each deposit is
+//
+//	∂(c·px·py)/∂x = c · py · (px' − px · sx'/sx)
+//
+// where sx' = Σ_b px'(b); the sx'/sx term keeps area conservation
+// differentiated rather than approximated away. The factor in parentheses
+// depends only on the bin column (its y twin only on the row), so each is
+// computed once per column or row.
+func (g *Grid) gradientRange(objs []Obj, x, y []float64, lo, hi int, gx, gy []float64, scr *bellScratch) {
+	for i := lo; i < hi; i++ {
+		hw, hh, x0, x1, y0, y1 := g.footprint(&objs[i], x[i], y[i], scr)
+		px := scr.px[:x1-x0+1]
+		py := scr.py[:y1-y0+1]
+		fx := scr.dpx[:x1-x0+1]
+		dpy := scr.dpy[:y1-y0+1]
+		sx, dsx := profile(x[i], hw, g.Die.Lo.X, g.BinW, x0, px, fx)
+		sy, dsy := profile(y[i], hh, g.Die.Lo.Y, g.BinH, y0, py, dpy)
 		if sx <= 0 || sy <= 0 {
 			continue
+		}
+		for k, dp := range fx {
+			fx[k] = dp - px[k]*dsx/sx
 		}
 		c := objs[i].Area / (sx * sy)
 		var gxi, gyi float64
 		for by := y0; by <= y1; by++ {
-			row := by * g.NX
+			row := by*g.NX + x0
+			dem := g.demand[row : row+len(px)]
+			capa := g.capArea[row : row+len(px)]
 			pyv := py[by-y0]
-			dpyv := dpy[by-y0]
-			for bx := x0; bx <= x1; bx++ {
-				e := 2 * (g.demand[row+bx] - g.capArea[row+bx])
-				pxv := px[bx-x0]
-				gxi += e * c * pyv * (dpx[bx-x0] - pxv*dsx/sx)
-				gyi += e * c * pxv * (dpyv - pyv*dsy/sy)
+			fy := dpy[by-y0] - pyv*dsy/sy
+			for k, pxv := range px {
+				ec := 2 * (dem[k] - capa[k]) * c
+				gxi += ec * pyv * fx[k]
+				gyi += ec * pxv * fy
 			}
 		}
 		if gx != nil {
@@ -416,7 +450,6 @@ func (g *Grid) Penalty(objs []Obj, x, y []float64, gx, gy []float64) float64 {
 			gy[i] += gyi
 		}
 	}
-	return total
 }
 
 // Overflow returns the total-overflow ratio using exact rectangle overlap:

@@ -50,20 +50,21 @@ func TestAddFixedAccounting(t *testing.T) {
 
 func TestBellShape(t *testing.T) {
 	hw, wb := 3.0, 2.0
+	k := newBellAxis(hw, wb)
 	// Center: full potential.
-	p0, dp0 := bell(0, hw, wb)
+	p0, dp0 := k.at(0)
 	if p0 != 1 || dp0 != 0 {
 		t.Errorf("bell(0) = %v, %v", p0, dp0)
 	}
 	// Beyond support: zero.
-	p, dp := bell(hw+2*wb+0.001, hw, wb)
+	p, dp := k.at(hw + 2*wb + 0.001)
 	if p != 0 || dp != 0 {
 		t.Errorf("bell beyond support = %v, %v", p, dp)
 	}
 	// Continuity at the inner/outer boundary.
 	d0 := hw + wb
-	pIn, dIn := bell(d0-1e-9, hw, wb)
-	pOut, dOut := bell(d0+1e-9, hw, wb)
+	pIn, dIn := k.at(d0 - 1e-9)
+	pOut, dOut := k.at(d0 + 1e-9)
 	if math.Abs(pIn-pOut) > 1e-6 {
 		t.Errorf("bell value discontinuous at %v: %v vs %v", d0, pIn, pOut)
 	}
@@ -73,7 +74,7 @@ func TestBellShape(t *testing.T) {
 	// Monotone decreasing on [0, support].
 	prev := 1.1
 	for d := 0.0; d <= hw+2*wb; d += 0.05 {
-		p, _ := bell(d, hw, wb)
+		p, _ := k.at(d)
 		if p > prev+1e-12 {
 			t.Fatalf("bell not monotone at d=%v", d)
 		}
@@ -260,25 +261,51 @@ func TestPenaltyDropsAsObjectsSpread(t *testing.T) {
 	}
 }
 
-func BenchmarkPenaltyWithGradient(b *testing.B) {
-	g := NewGrid(geom.NewRect(0, 0, 1000, 1000), 64, 64, 0.8)
-	rng := rand.New(rand.NewSource(31))
-	n := 5000
+// congestedObjects mirrors the level-0 density problem of the congested
+// 2500-cell design (gen.Congested(2500, 1)): 2500 standard cells 12 high
+// and 2 to 16 wide plus one 118×144 movable macro on a 684×696 die, with
+// the 99×101 grid and target density the placer builds for that level.
+func congestedObjects(rng *rand.Rand) (*Grid, []Obj, []float64, []float64) {
+	g := NewGrid(geom.NewRect(0, 0, 684, 696), 99, 101, 0.878)
+	n := 2501
 	objs := make([]Obj, n)
 	x := make([]float64, n)
 	y := make([]float64, n)
 	for i := range objs {
-		objs[i] = Obj{HalfW: 2 + rng.Float64()*6, HalfH: 6, Area: 50}
-		x[i] = rng.Float64() * 1000
-		y[i] = rng.Float64() * 1000
+		w, h := float64(2+rng.Intn(15)), 12.0
+		if i == n-1 {
+			w, h = 118, 144
+		}
+		objs[i] = Obj{HalfW: w / 2, HalfH: h / 2, Area: w * h}
+		x[i] = rng.Float64() * 684
+		y[i] = rng.Float64() * 696
 	}
-	gx := make([]float64, n)
-	gy := make([]float64, n)
+	return g, objs, x, y
+}
+
+var benchSink float64
+
+func benchPenalty(b *testing.B, workers int, grad bool) {
+	g, objs, x, y := congestedObjects(rand.New(rand.NewSource(31)))
+	if workers != 1 {
+		g.SetWorkers(workers)
+	}
+	var gx, gy []float64
+	if grad {
+		gx = make([]float64, len(objs))
+		gy = make([]float64, len(objs))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Penalty(objs, x, y, gx, gy)
+		benchSink = g.Penalty(objs, x, y, gx, gy)
 	}
 }
+
+func BenchmarkPenaltyWithGradient(b *testing.B) { benchPenalty(b, 1, true) }
+
+// BenchmarkPenaltyValue is the line-search trial path: most of the
+// evaluations a CG run makes need no gradient.
+func BenchmarkPenaltyValue(b *testing.B) { benchPenalty(b, 1, false) }
 
 func TestDerateNarrowChannels(t *testing.T) {
 	// Two macros with a 10-unit channel between them (bins are 10 wide):
@@ -370,23 +397,4 @@ func TestSetWorkersSmallInputFallsBack(t *testing.T) {
 	}
 }
 
-func BenchmarkPenaltyParallel(b *testing.B) {
-	g := NewGrid(geom.NewRect(0, 0, 1000, 1000), 64, 64, 0.8)
-	g.SetWorkers(0)
-	rng := rand.New(rand.NewSource(31))
-	n := 5000
-	objs := make([]Obj, n)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range objs {
-		objs[i] = Obj{HalfW: 2 + rng.Float64()*6, HalfH: 6, Area: 50}
-		x[i] = rng.Float64() * 1000
-		y[i] = rng.Float64() * 1000
-	}
-	gx := make([]float64, n)
-	gy := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Penalty(objs, x, y, gx, gy)
-	}
-}
+func BenchmarkPenaltyParallel(b *testing.B) { benchPenalty(b, 0, true) }

@@ -6,25 +6,6 @@ import (
 	"repro/internal/par"
 )
 
-// bellScratch is per-worker scratch for bell evaluation.
-type bellScratch struct {
-	px, py   []float64
-	dpx, dpy []float64
-	demand   []float64
-}
-
-func (s *bellScratch) ensure(span, bins int) {
-	if cap(s.px) < span {
-		s.px = make([]float64, span*2)
-		s.py = make([]float64, span*2)
-		s.dpx = make([]float64, span*2)
-		s.dpy = make([]float64, span*2)
-	}
-	if len(s.demand) < bins {
-		s.demand = make([]float64, bins)
-	}
-}
-
 // SetWorkers enables parallel Penalty evaluation with the given worker
 // count (≤ 0 selects the shared automatic policy — par.Workers, honoring
 // the REPRO_WORKERS override; 1 restores serial evaluation). Results
@@ -36,121 +17,6 @@ func (g *Grid) SetWorkers(w int) {
 	if w > 1 && len(g.scratch) < w {
 		g.scratch = make([]bellScratch, w)
 	}
-}
-
-// depositRange deposits objects [lo, hi) into dst using scr.
-func (g *Grid) depositRange(objs []Obj, x, y []float64, lo, hi int, dst []float64, scr *bellScratch) {
-	for i := lo; i < hi; i++ {
-		hw := effHalf(objs[i].HalfW, g.BinW)
-		hh := effHalf(objs[i].HalfH, g.BinH)
-		x0, x1 := bellRange(x[i], hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
-		y0, y1 := bellRange(y[i], hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
-		span := x1 - x0 + 1
-		if y1-y0+1 > span {
-			span = y1 - y0 + 1
-		}
-		scr.ensure(span, len(dst))
-		px := scr.px[:x1-x0+1]
-		py := scr.py[:y1-y0+1]
-		var sx, sy float64
-		for bx := x0; bx <= x1; bx++ {
-			cx := g.Die.Lo.X + (float64(bx)+0.5)*g.BinW
-			p, _ := bell(absf(x[i]-cx), hw, g.BinW)
-			px[bx-x0] = p
-			sx += p
-		}
-		for by := y0; by <= y1; by++ {
-			cy := g.Die.Lo.Y + (float64(by)+0.5)*g.BinH
-			p, _ := bell(absf(y[i]-cy), hh, g.BinH)
-			py[by-y0] = p
-			sy += p
-		}
-		if sx <= 0 || sy <= 0 {
-			continue
-		}
-		c := objs[i].Area / (sx * sy)
-		for by := y0; by <= y1; by++ {
-			row := by * g.NX
-			pyv := py[by-y0]
-			for bx := x0; bx <= x1; bx++ {
-				dst[row+bx] += c * px[bx-x0] * pyv
-			}
-		}
-	}
-}
-
-// gradientRange accumulates ∂N/∂ for objects [lo, hi) into gx, gy (their
-// own slots only, so ranges may run concurrently).
-func (g *Grid) gradientRange(objs []Obj, x, y []float64, lo, hi int, gx, gy []float64, scr *bellScratch) {
-	for i := lo; i < hi; i++ {
-		hw := effHalf(objs[i].HalfW, g.BinW)
-		hh := effHalf(objs[i].HalfH, g.BinH)
-		x0, x1 := bellRange(x[i], hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
-		y0, y1 := bellRange(y[i], hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
-		span := x1 - x0 + 1
-		if y1-y0+1 > span {
-			span = y1 - y0 + 1
-		}
-		scr.ensure(span, 0)
-		px := scr.px[:x1-x0+1]
-		dpx := scr.dpx[:x1-x0+1]
-		py := scr.py[:y1-y0+1]
-		dpy := scr.dpy[:y1-y0+1]
-		var sx, sy, dsx, dsy float64
-		for bx := x0; bx <= x1; bx++ {
-			cx := g.Die.Lo.X + (float64(bx)+0.5)*g.BinW
-			d := x[i] - cx
-			p, dp := bell(absf(d), hw, g.BinW)
-			if d < 0 {
-				dp = -dp
-			}
-			px[bx-x0] = p
-			dpx[bx-x0] = dp
-			sx += p
-			dsx += dp
-		}
-		for by := y0; by <= y1; by++ {
-			cy := g.Die.Lo.Y + (float64(by)+0.5)*g.BinH
-			d := y[i] - cy
-			p, dp := bell(absf(d), hh, g.BinH)
-			if d < 0 {
-				dp = -dp
-			}
-			py[by-y0] = p
-			dpy[by-y0] = dp
-			sy += p
-			dsy += dp
-		}
-		if sx <= 0 || sy <= 0 {
-			continue
-		}
-		c := objs[i].Area / (sx * sy)
-		var gxi, gyi float64
-		for by := y0; by <= y1; by++ {
-			row := by * g.NX
-			pyv := py[by-y0]
-			dpyv := dpy[by-y0]
-			for bx := x0; bx <= x1; bx++ {
-				e := 2 * (g.demand[row+bx] - g.capArea[row+bx])
-				pxv := px[bx-x0]
-				gxi += e * c * pyv * (dpx[bx-x0] - pxv*dsx/sx)
-				gyi += e * c * pxv * (dpyv - pyv*dsy/sy)
-			}
-		}
-		if gx != nil {
-			gx[i] += gxi
-		}
-		if gy != nil {
-			gy[i] += gyi
-		}
-	}
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // penaltyParallel is the worker-pool version of Penalty.
@@ -193,11 +59,7 @@ func (g *Grid) penaltyParallel(objs []Obj, x, y []float64, gx, gy []float64) flo
 		}(k)
 	}
 	wg.Wait()
-	var total float64
-	for b := 0; b < nb; b++ {
-		e := g.demand[b] - g.capArea[b]
-		total += e * e
-	}
+	total := g.penaltyValue()
 	if gx == nil && gy == nil {
 		return total
 	}

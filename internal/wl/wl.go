@@ -128,8 +128,10 @@ func (WA) Name() string { return "WA" }
 //
 // with all exponentials shifted by the net max/min so their arguments are
 // ≤ 0 (the max-shift stabilization; the value is mathematically unchanged).
+// Coordinates must be finite and γ nonzero (see axis.exps).
 func (m WA) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64 {
 	g := m.Gamma
+	sc := newScratch(nl)
 	var total float64
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
@@ -140,42 +142,23 @@ func (m WA) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64 {
 		if w == 0 {
 			w = 1
 		}
-		total += w * waAxis(net, x, gx, g, w, pinX)
-		total += w * waAxis(net, y, gy, g, w, pinY)
+		sc.gather(net.Pins, x, y)
+		total += w * waAxis(net.Pins, &sc.x, gx, g, w)
+		total += w * waAxis(net.Pins, &sc.y, gy, g, w)
 	}
 	return total
 }
 
-// waAxis evaluates the WA model on one axis and accumulates w·gradient.
-// The returned value is unweighted; the caller applies the net weight.
-// Exponentials are computed once per pin and cached in stack buffers for
-// typical net degrees (the gradient pass reuses them).
-func waAxis(net *Net, coord []float64, grad []float64, gamma, w float64, at func(PinRef, []float64) float64) float64 {
-	deg := len(net.Pins)
-	var bufV, bufA, bufB [32]float64
-	vs, as, bs := bufV[:0], bufA[:0], bufB[:0]
-	if deg > len(bufV) {
-		vs = make([]float64, 0, deg)
-		as = make([]float64, 0, deg)
-		bs = make([]float64, 0, deg)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range net.Pins {
-		v := at(p, coord)
-		vs = append(vs, v)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+// waAxis evaluates the WA model on one gathered axis and accumulates
+// w·gradient. The returned value is unweighted; the caller applies the net
+// weight.
+func waAxis(pins []PinRef, ax *axis, grad []float64, gamma, w float64) float64 {
+	vs := ax.v
+	as, bs := ax.a[:len(vs)], ax.b[:len(vs)]
+	ax.exps(gamma)
 	var sPos, nPos, sNeg, nNeg float64
-	for _, v := range vs {
-		a := math.Exp((v - hi) / gamma)
-		b := math.Exp((lo - v) / gamma)
-		as = append(as, a)
-		bs = append(bs, b)
+	for j, v := range vs {
+		a, b := as[j], bs[j]
 		sPos += a
 		nPos += v * a
 		sNeg += b
@@ -184,17 +167,100 @@ func waAxis(net *Net, coord []float64, grad []float64, gamma, w float64, at func
 	maxTerm := nPos / sPos
 	minTerm := nNeg / sNeg
 	if grad != nil {
-		for i, p := range net.Pins {
+		for j, p := range pins[:len(vs)] {
 			if p.Obj == Fixed {
 				continue
 			}
-			v := vs[i]
-			dMax := as[i] / sPos * (1 + (v-maxTerm)/gamma)
-			dMin := bs[i] / sNeg * (1 - (v-minTerm)/gamma)
+			v := vs[j]
+			dMax := as[j] / sPos * (1 + (v-maxTerm)/gamma)
+			dMin := bs[j] / sNeg * (1 - (v-minTerm)/gamma)
 			grad[p.Obj] += w * (dMax - dMin)
 		}
 	}
 	return maxTerm - minTerm
+}
+
+// scratch holds one net's gathered pins for both axes. Eval sizes it once
+// from the netlist's largest degree.
+type scratch struct {
+	x, y axis
+}
+
+// axis is one net's pin coordinates along one axis, their extent, and the
+// per-pin exponentials a = e^{(v−hi)/γ} and b = e^{(lo−v)/γ}.
+type axis struct {
+	v, a, b  []float64
+	lo, hi   float64
+	ilo, ihi int // first pin at lo and at hi (−1 when none compares)
+}
+
+func newScratch(nl *Netlist) scratch {
+	deg := 0
+	for i := range nl.Nets {
+		if n := len(nl.Nets[i].Pins); n > deg {
+			deg = n
+		}
+	}
+	buf := make([]float64, 6*deg)
+	return scratch{
+		x: axis{v: buf[0*deg : 1*deg], a: buf[1*deg : 2*deg], b: buf[2*deg : 3*deg]},
+		y: axis{v: buf[3*deg : 4*deg], a: buf[4*deg : 5*deg], b: buf[5*deg : 6*deg]},
+	}
+}
+
+// gather loads the pin coordinates of one net for both axes in a single
+// pass and records each axis's extent.
+func (s *scratch) gather(pins []PinRef, x, y []float64) {
+	s.x.reset(len(pins))
+	s.y.reset(len(pins))
+	for j, p := range pins {
+		vx, vy := p.OffX, p.OffY
+		if p.Obj != Fixed {
+			vx = x[p.Obj] + p.OffX
+			vy = y[p.Obj] + p.OffY
+		}
+		s.x.add(j, vx)
+		s.y.add(j, vy)
+	}
+}
+
+func (ax *axis) reset(deg int) {
+	ax.v = ax.v[:deg]
+	ax.lo, ax.hi = math.Inf(1), math.Inf(-1)
+	ax.ilo, ax.ihi = -1, -1
+}
+
+func (ax *axis) add(j int, v float64) {
+	ax.v[j] = v
+	if v < ax.lo {
+		ax.lo, ax.ilo = v, j
+	}
+	if v > ax.hi {
+		ax.hi, ax.ihi = v, j
+	}
+}
+
+// exps fills a and b for every gathered pin. At the pin at hi, (v−hi)/γ
+// is exactly 0, so a is exactly 1, and b = e^{(lo−hi)/γ}; at the pin at
+// lo the roles swap and a takes that same value. So one math.Exp serves
+// both extreme pins, and only the others pay for two. This is
+// bit-identical to evaluating both exponentials at every pin, for finite
+// coordinates and nonzero γ. When lo and hi are the same pin, lo = hi and
+// the shared value is 1.
+func (ax *axis) exps(gamma float64) {
+	e := math.Exp((ax.lo - ax.hi) / gamma)
+	as, bs := ax.a[:len(ax.v)], ax.b[:len(ax.v)]
+	for j, v := range ax.v {
+		switch j {
+		case ax.ihi:
+			as[j], bs[j] = 1, e
+		case ax.ilo:
+			as[j], bs[j] = e, 1
+		default:
+			as[j] = math.Exp((v - ax.hi) / gamma)
+			bs[j] = math.Exp((ax.lo - v) / gamma)
+		}
+	}
 }
 
 // LSE is the log-sum-exp wirelength model with smoothing parameter Gamma:
@@ -212,6 +278,7 @@ func (LSE) Name() string { return "LSE" }
 // Eval implements Model.
 func (m LSE) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64 {
 	g := m.Gamma
+	sc := newScratch(nl)
 	var total float64
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
@@ -222,48 +289,30 @@ func (m LSE) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64 {
 		if w == 0 {
 			w = 1
 		}
-		total += w * lseAxis(net, x, gx, g, w, pinX)
-		total += w * lseAxis(net, y, gy, g, w, pinY)
+		sc.gather(net.Pins, x, y)
+		total += w * lseAxis(net.Pins, &sc.x, gx, g, w)
+		total += w * lseAxis(net.Pins, &sc.y, gy, g, w)
 	}
 	return total
 }
 
-func lseAxis(net *Net, coord []float64, grad []float64, gamma, w float64, at func(PinRef, []float64) float64) float64 {
-	deg := len(net.Pins)
-	var bufA, bufB [32]float64
-	as, bs := bufA[:0], bufB[:0]
-	if deg > len(bufA) {
-		as = make([]float64, 0, deg)
-		bs = make([]float64, 0, deg)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range net.Pins {
-		v := at(p, coord)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+func lseAxis(pins []PinRef, ax *axis, grad []float64, gamma, w float64) float64 {
+	vs := ax.v
+	as, bs := ax.a[:len(vs)], ax.b[:len(vs)]
+	ax.exps(gamma)
 	var sPos, sNeg float64
-	for _, p := range net.Pins {
-		v := at(p, coord)
-		a := math.Exp((v - hi) / gamma)
-		b := math.Exp((lo - v) / gamma)
-		as = append(as, a)
-		bs = append(bs, b)
-		sPos += a
-		sNeg += b
+	for j := range vs {
+		sPos += as[j]
+		sNeg += bs[j]
 	}
 	if grad != nil {
-		for i, p := range net.Pins {
+		for j, p := range pins[:len(vs)] {
 			if p.Obj == Fixed {
 				continue
 			}
-			grad[p.Obj] += w * (as[i]/sPos - bs[i]/sNeg)
+			grad[p.Obj] += w * (as[j]/sPos - bs[j]/sNeg)
 		}
 	}
 	// ln Σ e^{(v-hi)/γ} = ln Σ e^{v/γ} − hi/γ, so add the shifts back.
-	return gamma*math.Log(sPos) + hi + (gamma*math.Log(sNeg) - lo)
+	return gamma*math.Log(sPos) + ax.hi + (gamma*math.Log(sNeg) - ax.lo)
 }

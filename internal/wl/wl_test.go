@@ -296,28 +296,69 @@ func TestTranslationInvariance(t *testing.T) {
 	}
 }
 
-func BenchmarkWAEval(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	nl, x, y := randNetlist(rng, 1000, 3000)
-	gx := make([]float64, 1000)
-	gy := make([]float64, 1000)
-	m := WA{Gamma: 2}
+// congestedNetlist mirrors the level-0 netlist of the congested 2500-cell
+// design (gen.Congested(2500, 1)): 2501 objects on a 684×696 die, its
+// exact net degree histogram (3342 nets, 10034 pins, 1816 of them 2-pin),
+// 2.8% fixed pins, and the γ the placer uses on that level.
+func congestedNetlist(rng *rand.Rand) (nl *Netlist, x, y []float64, gamma float64) {
+	const n = 2501
+	degrees := []struct{ deg, nets int }{
+		{2, 1816}, {3, 655}, {4, 426}, {5, 200}, {6, 113}, {7, 69},
+		{8, 26}, {9, 17}, {10, 12}, {11, 5}, {12, 3},
+	}
+	nl = &Netlist{NumObjs: n}
+	for _, d := range degrees {
+		for i := 0; i < d.nets; i++ {
+			net := Net{Weight: 1}
+			for j := 0; j < d.deg; j++ {
+				if rng.Float64() < 0.028 {
+					net.Pins = append(net.Pins, PinRef{Obj: Fixed, OffX: rng.Float64() * 684, OffY: rng.Float64() * 696})
+					continue
+				}
+				net.Pins = append(net.Pins, PinRef{Obj: rng.Intn(n), OffX: rng.Float64()*8 - 4, OffY: rng.Float64()*12 - 6})
+			}
+			nl.Nets = append(nl.Nets, net)
+		}
+	}
+	rng.Shuffle(len(nl.Nets), func(i, j int) { nl.Nets[i], nl.Nets[j] = nl.Nets[j], nl.Nets[i] })
+	x = make([]float64, n)
+	y = make([]float64, n)
+	for i := range x {
+		x[i] = rng.Float64() * 684
+		y[i] = rng.Float64() * 696
+	}
+	return nl, x, y, 0.8 * 6.9
+}
+
+var benchSink float64
+
+// benchEval times m.Eval on the congested netlist, with a gradient (the
+// accepted-step path) or value only (the line-search trials, which are
+// most of the evaluations a CG run makes).
+func benchEval(b *testing.B, m func(gamma float64) Model, grad bool) {
+	nl, x, y, gamma := congestedNetlist(rand.New(rand.NewSource(23)))
+	var gx, gy []float64
+	if grad {
+		gx = make([]float64, nl.NumObjs)
+		gy = make([]float64, nl.NumObjs)
+	}
+	model := m(gamma)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Eval(nl, x, y, gx, gy)
+		benchSink = model.Eval(nl, x, y, gx, gy)
 	}
 }
 
+func BenchmarkWAEval(b *testing.B) {
+	benchEval(b, func(g float64) Model { return WA{Gamma: g} }, true)
+}
+
+func BenchmarkWAValue(b *testing.B) {
+	benchEval(b, func(g float64) Model { return WA{Gamma: g} }, false)
+}
+
 func BenchmarkLSEEval(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	nl, x, y := randNetlist(rng, 1000, 3000)
-	gx := make([]float64, 1000)
-	gy := make([]float64, 1000)
-	m := LSE{Gamma: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Eval(nl, x, y, gx, gy)
-	}
+	benchEval(b, func(g float64) Model { return LSE{Gamma: g} }, true)
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
