@@ -69,8 +69,10 @@ func recordConfig(cfg Config) *snap.RunConfig {
 // place a different problem than the checkpointed run: every recorded
 // result-shaping knob must match. Checkpoints without a config section
 // (schema v1) pass vacuously. Workers deliberately does not participate —
-// legalization, detailed placement and routing are byte-identical for
-// every worker count, so resuming on different parallelism is safe.
+// global placement is serial, and estimation, legalization, detailed
+// placement and routing are byte-identical for every worker count
+// (TestGPDeterministicAcrossWorkersAtScale pins the flow at a size where
+// GP once was not), so resuming on different parallelism is safe.
 func ValidateResumeConfig(cfg Config, st *snap.State) error {
 	if st == nil || st.Config == nil {
 		return nil

@@ -44,13 +44,12 @@ type Config struct {
 	// the bin dimension (default 0.8).
 	GammaFactor float64 `json:"gamma_factor"`
 
-	// Workers is the worker count for the parallel kernels (wirelength
-	// gradients, density penalty, global routing, detailed placement,
-	// legalization). 0 selects the shared automatic policy (internal/par:
-	// REPRO_WORKERS env override, else GOMAXPROCS capped); 1 forces serial
-	// evaluation. Placement results are deterministic for a fixed worker
-	// count, and routing, detailed-placement and legalization results are
-	// byte-identical for every worker count.
+	// Workers is the worker count for the parallel kernels (global
+	// routing, congestion estimation, detailed placement, legalization;
+	// global placement is serial). 0 selects the shared automatic policy
+	// (internal/par: REPRO_WORKERS env override, else GOMAXPROCS capped);
+	// 1 forces serial evaluation. Results are byte-identical for every
+	// worker count.
 	Workers int `json:"workers"`
 
 	// GPIterPerRound is the CG iteration budget per λ round (default 30).

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/bookshelf"
 	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/geom"
@@ -362,5 +364,42 @@ func TestChannelDerateKeepsCellsOutOfChannels(t *testing.T) {
 	t.Logf("channel occupancy: derate-on=%d derate-off=%d", on, off)
 	if on > off {
 		t.Errorf("channel derating increased channel occupancy: %d > %d", on, off)
+	}
+}
+
+// TestGPDeterministicAcrossWorkersAtScale pins cross-worker .pl identity
+// on a level of more than 2000 objects, the size at which GP once
+// switched to worker-sharded objective kernels whose floating-point
+// reductions depended on the worker count. Resume and fleet reassignment
+// rely on this: a checkpoint may continue on a host with another worker
+// count.
+func TestGPDeterministicAcrossWorkersAtScale(t *testing.T) {
+	gc := gen.Config{
+		Name: "core-scale", Seed: 5,
+		NumStdCells: 2100, NumFixedMacros: 2, NumMovableMacros: 1,
+		MacroSizeRows: 6, NumModules: 4, NumFences: 1, NumTerminals: 24,
+		TargetUtil: 0.6,
+	}
+	place := func(workers int) []byte {
+		d := gen.MustGenerate(gc)
+		if len(d.Movable()) < 2000 {
+			t.Fatalf("design has %d movable objects, want ≥ 2000", len(d.Movable()))
+		}
+		cfg := Config{
+			Workers: workers, DisableMultilevel: true, DisableRoutability: true,
+			DisableDP: true, MaxLambdaRounds: 6,
+		}
+		if _, err := MustNew(cfg).Place(d); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := bookshelf.WritePl(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ref := place(1)
+	if got := place(2); !bytes.Equal(ref, got) {
+		t.Fatal(".pl differs between workers 1 and 2")
 	}
 }

@@ -17,8 +17,11 @@ import (
 type gpStats struct {
 	LambdaRounds int
 	CGIters      int
-	// FuncEvals counts objective evaluations (nlopt.Result.FuncEvals).
+	// FuncEvals, GradEvals and Screened sum the CG runs' objective
+	// value calls, gradient calls and screened trials (nlopt.Result).
 	FuncEvals int
+	GradEvals int
+	Screened  int
 	Overflow  float64
 	// FinalLambda and FinalMu are the density and fence weights at
 	// termination; the routability loop resumes respreading from (a
@@ -42,7 +45,11 @@ type levelSolver struct {
 	ovGrid *density.Grid
 	model  wl.Model
 	nl     *wl.Netlist
+	wlc    *wl.Cache
 	objs   []density.Obj
+	// slack bounds how far below zero the computed wirelength can round
+	// (wl.Slack over the die); Value's lower bounds subtract it.
+	slack float64
 
 	lambda, mu float64
 	// startLambda and startMu, when positive, seed the λ/μ escalation
@@ -120,16 +127,14 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 	} else {
 		model = wl.WA{Gamma: gamma}
 	}
-	// Large levels evaluate in parallel; results stay deterministic for a
-	// fixed worker count (partition and reduction order are fixed).
-	if n >= 2000 && cfg.Workers != 1 {
-		model = wl.NewParallel(model, cfg.Workers)
-		grid.SetWorkers(cfg.Workers)
-	}
+	nl := &wl.Netlist{Nets: p.Nets, NumObjs: n}
+	// r bounds |x| and |y| of every evaluated center, since project keeps
+	// centers inside the die.
+	r := math.Max(math.Max(math.Abs(die.Lo.X), math.Abs(die.Hi.X)), math.Max(math.Abs(die.Lo.Y), math.Abs(die.Hi.Y)))
 	s := &levelSolver{
 		cfg: cfg, p: p, die: die, regions: regions,
 		grid: grid, ovGrid: ovGrid, model: model,
-		nl:   &wl.Netlist{Nets: p.Nets, NumObjs: n},
+		nl: nl, wlc: wl.NewCache(nl), slack: wl.Slack(nl, r),
 		objs: make([]density.Obj, n),
 		gdx:  make([]float64, n), gdy: make([]float64, n),
 		gfx: make([]float64, n), gfy: make([]float64, n),
@@ -176,51 +181,70 @@ func (s *levelSolver) fencePenalty(x, y []float64, gx, gy []float64) float64 {
 	return total
 }
 
-// objective evaluates f = WL + λ·N + μ·F into the packed vector layout
-// ([x..., y...]) used by the CG solver.
-func (s *levelSolver) objective(v []float64, grad []float64) float64 {
+// Value evaluates f = WL + λ·N + μ·F at the packed vector v ([x..., y...])
+// for the CG solver (nlopt.Objective), cheapest term first. The fence
+// term F = μ·fence is O(n) without exponentials and D = λ·density costs
+// less than the wirelength, so a trial whose F, and then fl(D+F), already
+// exceeds the cutoff by more than the wirelength's rounding slack is
+// rejected before WL is computed. That proves f > cutoff: rounding is
+// monotone, D and F are ≥ 0 and the computed WL is ≥ −slack, so the f
+// computed below is ≥ fl(F − slack) and ≥ fl(fl(D − slack) + F). The
+// terms still combine as f = WL; f += D; f += F, so every value that is
+// returned is bit-identical to an unscreened evaluation (DESIGN.md §16.5).
+func (s *levelSolver) Value(v []float64, cutoff float64) (float64, bool) {
 	n := s.p.NumObjs()
 	x, y := v[:n], v[n:]
-	var gx, gy []float64
-	if grad != nil {
-		gx, gy = grad[:n], grad[n:]
-	}
-	f := s.model.Eval(s.nl, x, y, gx, gy)
-	// Value-only calls (the line-search trials, most of them) leave the
-	// term buffers alone: nothing reads them.
-	if s.lambda > 0 {
-		var dgx, dgy []float64
-		if grad != nil {
-			clear(s.gdx)
-			clear(s.gdy)
-			dgx, dgy = s.gdx, s.gdy
+	// The explicit conversions keep the products rounded on their own
+	// (no fused multiply-add), which the bounds above assume.
+	var d, fe float64
+	if s.mu > 0 {
+		fe = float64(s.mu * s.fencePenalty(x, y, nil, nil))
+		if fe-s.slack > cutoff {
+			return 0, false
 		}
-		den := s.grid.Penalty(s.objs, x, y, dgx, dgy)
-		f += s.lambda * den
-		if grad != nil {
-			for i := range gx {
-				gx[i] += s.lambda * s.gdx[i]
-				gy[i] += s.lambda * s.gdy[i]
-			}
+	}
+	if s.lambda > 0 {
+		d = float64(s.lambda * s.grid.Value(s.objs, x, y))
+		if (d-s.slack)+fe > cutoff {
+			return 0, false
+		}
+	}
+	f := s.model.Value(s.nl, x, y, s.wlc)
+	if s.lambda > 0 {
+		f += d
+	}
+	if s.mu > 0 {
+		f += fe
+	}
+	return f, true
+}
+
+// Gradient writes ∇f at the point of the last Value, which returned ok:
+// the wirelength and density parts read what that call left in the
+// wirelength cache and the density grid.
+func (s *levelSolver) Gradient(v, grad []float64) {
+	n := s.p.NumObjs()
+	x, y := v[:n], v[n:]
+	gx, gy := grad[:n], grad[n:]
+	s.model.Gradient(s.nl, s.wlc, gx, gy)
+	if s.lambda > 0 {
+		clear(s.gdx)
+		clear(s.gdy)
+		s.grid.Gradient(s.objs, x, y, s.gdx, s.gdy)
+		for i := range gx {
+			gx[i] += s.lambda * s.gdx[i]
+			gy[i] += s.lambda * s.gdy[i]
 		}
 	}
 	if s.mu > 0 {
-		var fgx, fgy []float64
-		if grad != nil {
-			clear(s.gfx)
-			clear(s.gfy)
-			fgx, fgy = s.gfx, s.gfy
-		}
-		fen := s.fencePenalty(x, y, fgx, fgy)
-		f += s.mu * fen
-		if grad != nil {
-			for i := range gx {
-				gx[i] += s.mu * s.gfx[i]
-				gy[i] += s.mu * s.gfy[i]
-			}
+		clear(s.gfx)
+		clear(s.gfy)
+		s.fencePenalty(x, y, s.gfx, s.gfy)
+		for i := range gx {
+			gx[i] += s.mu * s.gfx[i]
+			gy[i] += s.mu * s.gfy[i]
 		}
 	}
-	return f
 }
 
 // gradL1 returns Σ|g| of a term's gradient evaluated in isolation.
@@ -239,13 +263,12 @@ func (s *levelSolver) initWeights(v []float64) {
 	x, y := v[:n], v[n:]
 	gwx := make([]float64, n)
 	gwy := make([]float64, n)
-	s.model.Eval(s.nl, x, y, gwx, gwy)
+	s.model.Value(s.nl, x, y, s.wlc)
+	s.model.Gradient(s.nl, s.wlc, gwx, gwy)
 	wlG := gradL1(gwx, gwy) + 1e-12
 
-	for i := range s.gdx {
-		s.gdx[i] = 0
-		s.gdy[i] = 0
-	}
+	clear(s.gdx)
+	clear(s.gdy)
 	s.grid.Penalty(s.objs, x, y, s.gdx, s.gdy)
 	denG := gradL1(s.gdx, s.gdy)
 	if denG > 0 {
@@ -254,10 +277,8 @@ func (s *levelSolver) initWeights(v []float64) {
 		s.lambda = 0
 	}
 
-	for i := range s.gfx {
-		s.gfx[i] = 0
-		s.gfy[i] = 0
-	}
+	clear(s.gfx)
+	clear(s.gfy)
 	fen := s.fencePenalty(x, y, s.gfx, s.gfy)
 	fenG := gradL1(s.gfx, s.gfy)
 	if fen > 0 && fenG > 0 {
@@ -366,7 +387,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			// real relief work as convergence.
 			relTol = 0
 		}
-		res := nlopt.CG(s.objective, v, nlopt.Options{
+		res := nlopt.CG(s, v, nlopt.Options{
 			MaxIter:  s.cfg.GPIterPerRound,
 			GradTol:  1e-9,
 			RelTol:   relTol,
@@ -377,6 +398,8 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		})
 		stats.CGIters += res.Iters
 		stats.FuncEvals += res.FuncEvals
+		stats.GradEvals += res.GradEvals
+		stats.Screened += res.Screened
 		iterBase += res.Iters
 		stats.Overflow = s.ovGrid.Overflow(s.objs, v[:n], v[n:])
 		fenced := s.maxFenceDist(v[:n], v[n:])
@@ -391,6 +414,8 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		if rsp != nil {
 			rsp.Add("cg_iters", int64(res.Iters))
 			rsp.Add("func_evals", int64(res.FuncEvals))
+			rsp.Add("grad_evals", int64(res.GradEvals))
+			rsp.Add("screened", int64(res.Screened))
 			rsp.End()
 		}
 		if s.rec.Enabled() {
@@ -404,6 +429,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 				Lambda: s.lambda, Mu: s.mu,
 				CoarseOverflow: stats.Overflow, FineOverflow: fineOv,
 				FenceDist: fenced, HPWL: hp, CGIters: res.Iters,
+				FuncEvals: res.FuncEvals, GradEvals: res.GradEvals, Screened: res.Screened,
 			})
 			s.rec.Log().Debug("gp round",
 				"level", s.level, "phase", phase, "round", round,

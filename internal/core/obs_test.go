@@ -71,9 +71,11 @@ type resultSnapshot struct {
 	metrics route.Metrics
 }
 
-// TestSpansCountObjectiveEvaluations pins the func_evals counters: every
-// GP round span carries the CG run's objective evaluations next to its
-// iterations, and every level span carries the sum over its rounds.
+// TestSpansCountObjectiveEvaluations pins the objective counters: every
+// GP round span carries the CG run's value calls (func_evals), gradient
+// calls (grad_evals) and screened trials next to its iterations, every
+// level span carries the sums over its rounds, and the gp_trace rows
+// carry the same per-round numbers.
 func TestSpansCountObjectiveEvaluations(t *testing.T) {
 	rec := obs.New(obs.Config{})
 	d := gen.MustGenerate(smallCfg())
@@ -89,20 +91,47 @@ func TestSpansCountObjectiveEvaluations(t *testing.T) {
 	if gp == nil || len(gp.Children) == 0 {
 		t.Fatal("no gp level spans recorded")
 	}
+	rows := rec.GPRounds()
+	row := 0
+	var screened int64
 	for _, lvl := range gp.Children {
-		var sum int64
+		var sum [3]int64
 		for _, r := range lvl.Children {
-			evals, iters := r.Counters["func_evals"], r.Counters["cg_iters"]
-			// One evaluation starts a CG run, and every iteration but a
-			// final one that stops on the gradient test makes at least
-			// one more.
-			if evals == 0 || evals < iters {
-				t.Errorf("%s/%s: func_evals %d for %d cg_iters", lvl.Name, r.Name, evals, iters)
+			evals, grads, scr := r.Counters["func_evals"], r.Counters["grad_evals"], r.Counters["screened"]
+			iters := r.Counters["cg_iters"]
+			// One value and one gradient call start a CG run; every
+			// iteration but a final one that stops on the gradient test
+			// makes at least one more trial, and an accepted trial is the
+			// only kind that costs a gradient.
+			if evals == 0 || evals < iters || grads == 0 || grads > evals-scr || scr > evals-1 {
+				t.Errorf("%s/%s: func_evals %d, grad_evals %d, screened %d for %d cg_iters", lvl.Name, r.Name, evals, grads, scr, iters)
 			}
-			sum += evals
+			if row >= len(rows) {
+				t.Fatalf("%s/%s: no gp_trace row", lvl.Name, r.Name)
+			}
+			g := rows[row]
+			row++
+			if int64(g.FuncEvals) != evals || int64(g.GradEvals) != grads || int64(g.Screened) != scr || int64(g.CGIters) != iters {
+				t.Errorf("%s/%s: gp_trace row %+v, span counters %v", lvl.Name, r.Name, g, r.Counters)
+			}
+			sum[0] += evals
+			sum[1] += grads
+			sum[2] += scr
 		}
-		if got := lvl.Counters["func_evals"]; got != sum || got == 0 {
-			t.Errorf("%s: func_evals %d, its rounds sum to %d", lvl.Name, got, sum)
+		for k, name := range []string{"func_evals", "grad_evals", "screened"} {
+			if got := lvl.Counters[name]; got != sum[k] {
+				t.Errorf("%s: %s %d, its rounds sum to %d", lvl.Name, name, got, sum[k])
+			}
 		}
+		if sum[0] == 0 || sum[1] == 0 {
+			t.Errorf("%s: no evaluations counted", lvl.Name)
+		}
+		screened += sum[2]
+	}
+	if row != len(rows) {
+		t.Errorf("%d gp_trace rows, %d round spans", len(rows), row)
+	}
+	if screened == 0 {
+		t.Error("no line-search trial was screened in the whole GP")
 	}
 }

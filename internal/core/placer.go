@@ -133,6 +133,8 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 			s.span.Add("lambda_rounds", int64(st.LambdaRounds))
 			s.span.Add("cg_iters", int64(st.CGIters))
 			s.span.Add("func_evals", int64(st.FuncEvals))
+			s.span.Add("grad_evals", int64(st.GradEvals))
+			s.span.Add("screened", int64(st.Screened))
 			s.span.End()
 		}
 		res.LambdaRounds += st.LambdaRounds

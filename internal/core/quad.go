@@ -20,56 +20,10 @@ func quadInit(p *cluster.Problem, die geom.Rect) {
 	if n == 0 {
 		return
 	}
-	f := func(v []float64, grad []float64) float64 {
-		x, y := v[:n], v[n:]
-		var gx, gy []float64
-		if grad != nil {
-			gx, gy = grad[:n], grad[n:]
-		}
-		var total float64
-		for ni := range p.Nets {
-			net := &p.Nets[ni]
-			deg := len(net.Pins)
-			if deg < 2 {
-				continue
-			}
-			w := net.Weight
-			if w == 0 {
-				w = 1
-			}
-			var cx, cy float64
-			for _, pin := range net.Pins {
-				if pin.Obj == wl.Fixed {
-					cx += pin.OffX
-					cy += pin.OffY
-				} else {
-					cx += x[pin.Obj] + pin.OffX
-					cy += y[pin.Obj] + pin.OffY
-				}
-			}
-			cx /= float64(deg)
-			cy /= float64(deg)
-			for _, pin := range net.Pins {
-				var px, py float64
-				if pin.Obj == wl.Fixed {
-					px, py = pin.OffX, pin.OffY
-				} else {
-					px, py = x[pin.Obj]+pin.OffX, y[pin.Obj]+pin.OffY
-				}
-				dx, dy := px-cx, py-cy
-				total += w * (dx*dx + dy*dy)
-				if grad != nil && pin.Obj != wl.Fixed {
-					gx[pin.Obj] += 2 * w * dx
-					gy[pin.Obj] += 2 * w * dy
-				}
-			}
-		}
-		return total
-	}
 	v := make([]float64, 2*n)
 	copy(v[:n], p.X)
 	copy(v[n:], p.Y)
-	nlopt.CG(f, v, nlopt.Options{
+	nlopt.CG(starModel{p}, v, nlopt.Options{
 		MaxIter:  150,
 		RelTol:   1e-6,
 		StepInit: (die.W() + die.H()) / 8,
@@ -78,4 +32,63 @@ func quadInit(p *cluster.Problem, die geom.Rect) {
 		p.X[i] = geom.Interval{Lo: die.Lo.X, Hi: die.Hi.X}.Clamp(v[i])
 		p.Y[i] = geom.Interval{Lo: die.Lo.Y, Hi: die.Hi.Y}.Clamp(v[n+i])
 	}
+}
+
+// starModel is quadInit's objective for nlopt.CG. It never screens a
+// trial, and its gradient pass recomputes the (cheap) value alongside.
+type starModel struct{ p *cluster.Problem }
+
+func (m starModel) Value(v []float64, _ float64) (float64, bool) { return m.eval(v, nil), true }
+
+func (m starModel) Gradient(v, grad []float64) { m.eval(v, grad) }
+
+// eval returns the star-model value and, when grad is non-nil, adds its
+// gradient into grad.
+func (m starModel) eval(v []float64, grad []float64) float64 {
+	p := m.p
+	n := p.NumObjs()
+	x, y := v[:n], v[n:]
+	var gx, gy []float64
+	if grad != nil {
+		gx, gy = grad[:n], grad[n:]
+	}
+	var total float64
+	for ni := range p.Nets {
+		net := &p.Nets[ni]
+		deg := len(net.Pins)
+		if deg < 2 {
+			continue
+		}
+		w := net.Weight
+		if w == 0 {
+			w = 1
+		}
+		var cx, cy float64
+		for _, pin := range net.Pins {
+			if pin.Obj == wl.Fixed {
+				cx += pin.OffX
+				cy += pin.OffY
+			} else {
+				cx += x[pin.Obj] + pin.OffX
+				cy += y[pin.Obj] + pin.OffY
+			}
+		}
+		cx /= float64(deg)
+		cy /= float64(deg)
+		for _, pin := range net.Pins {
+			var px, py float64
+			if pin.Obj == wl.Fixed {
+				px, py = pin.OffX, pin.OffY
+			} else {
+				px, py = x[pin.Obj]+pin.OffX, y[pin.Obj]+pin.OffY
+			}
+			dx, dy := px-cx, py-cy
+			total += w * (dx*dx + dy*dy)
+			if grad != nil && pin.Obj != wl.Fixed {
+				gx[pin.Obj] += 2 * w * dx
+				gy[pin.Obj] += 2 * w * dy
+			}
+		}
+	}
+	return total
 }

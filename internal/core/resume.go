@@ -130,6 +130,8 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 			s.span.Add("lambda_rounds", int64(gst.LambdaRounds))
 			s.span.Add("cg_iters", int64(gst.CGIters))
 			s.span.Add("func_evals", int64(gst.FuncEvals))
+			s.span.Add("grad_evals", int64(gst.GradEvals))
+			s.span.Add("screened", int64(gst.Screened))
 			s.span.End()
 		}
 		res.LambdaRounds = st.Round + gst.LambdaRounds

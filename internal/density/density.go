@@ -45,13 +45,10 @@ type Grid struct {
 	// capArea[b] = Target · (binArea − base[b]), the allowed movable area.
 	capArea []float64
 
-	// demand is the smoothed movable area per bin from the last Penalty.
+	// demand is the smoothed movable area per bin from the last Value.
 	demand []float64
 
-	// workers > 1 enables the parallel Penalty path (see SetWorkers).
-	// scratch[k] is worker k's; the serial path uses scratch[0].
-	workers int
-	scratch []bellScratch
+	scratch bellScratch
 }
 
 // NewGrid builds an nx×ny grid over die with the given target density.
@@ -68,10 +65,9 @@ func NewGrid(die geom.Rect, nx, ny int, target float64) *Grid {
 	g := &Grid{
 		Die: die, NX: nx, NY: ny,
 		BinW: die.W() / float64(nx), BinH: die.H() / float64(ny),
-		Target:  target,
-		base:    make([]float64, nx*ny),
-		demand:  make([]float64, nx*ny),
-		scratch: make([]bellScratch, 1),
+		Target: target,
+		base:   make([]float64, nx*ny),
+		demand: make([]float64, nx*ny),
 	}
 	g.recomputeCap()
 	return g
@@ -323,22 +319,21 @@ func (g *Grid) EnsureCapacity(required, margin float64) float64 {
 }
 
 // Penalty evaluates the density penalty Σ_b (D_b − M_b)² over the objects
-// at centers (x[i], y[i]) and adds ∂N/∂x, ∂N/∂y into gx, gy when non-nil.
+// at centers (x[i], y[i]) and adds ∂N/∂x, ∂N/∂y into gx, gy when non-nil:
+// Value, then Gradient when a gradient is asked for.
 func (g *Grid) Penalty(objs []Obj, x, y []float64, gx, gy []float64) float64 {
-	if g.workers > 1 && len(objs) >= 4*g.workers {
-		return g.penaltyParallel(objs, x, y, gx, gy)
-	}
-	clear(g.demand)
-	g.depositRange(objs, x, y, 0, len(objs), g.demand, &g.scratch[0])
-	total := g.penaltyValue()
+	total := g.Value(objs, x, y)
 	if gx != nil || gy != nil {
-		g.gradientRange(objs, x, y, 0, len(objs), gx, gy, &g.scratch[0])
+		g.Gradient(objs, x, y, gx, gy)
 	}
 	return total
 }
 
-// penaltyValue returns Σ_b (demand_b − capacity_b)².
-func (g *Grid) penaltyValue() float64 {
+// Value deposits every object into the grid's demand map and returns the
+// penalty Σ_b (demand_b − capacity_b)². The demand stays for Gradient.
+func (g *Grid) Value(objs []Obj, x, y []float64) float64 {
+	clear(g.demand)
+	g.deposit(objs, x, y)
 	var total float64
 	for b, d := range g.demand {
 		e := d - g.capArea[b]
@@ -347,29 +342,25 @@ func (g *Grid) penaltyValue() float64 {
 	return total
 }
 
-// bellScratch holds one object's bell profiles, and for a parallel worker
-// its private demand slab.
+// bellScratch holds one object's bell profiles.
 type bellScratch struct {
 	px, py   []float64
 	dpx, dpy []float64
-	demand   []float64
 }
 
-func (s *bellScratch) ensure(span, bins int) {
+func (s *bellScratch) ensure(span int) {
 	if cap(s.px) < span {
 		s.px = make([]float64, span*2)
 		s.py = make([]float64, span*2)
 		s.dpx = make([]float64, span*2)
 		s.dpy = make([]float64, span*2)
 	}
-	if len(s.demand) < bins {
-		s.demand = make([]float64, bins)
-	}
 }
 
 // footprint returns o's effective half-extents and the bin ranges its
-// bell support reaches when centered at (cx, cy), and sizes scr for them.
-func (g *Grid) footprint(o *Obj, cx, cy float64, scr *bellScratch) (hw, hh float64, x0, x1, y0, y1 int) {
+// bell support reaches when centered at (cx, cy), and sizes the scratch
+// for them.
+func (g *Grid) footprint(o *Obj, cx, cy float64) (hw, hh float64, x0, x1, y0, y1 int) {
 	hw = effHalf(o.HalfW, g.BinW)
 	hh = effHalf(o.HalfH, g.BinH)
 	x0, x1 = bellRange(cx, hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
@@ -378,14 +369,35 @@ func (g *Grid) footprint(o *Obj, cx, cy float64, scr *bellScratch) (hw, hh float
 	if y1-y0+1 > span {
 		span = y1 - y0 + 1
 	}
-	scr.ensure(span, 0)
+	g.scratch.ensure(span)
 	return hw, hh, x0, x1, y0, y1
 }
 
-// depositRange deposits objects [lo, hi) into dst using scr.
-func (g *Grid) depositRange(objs []Obj, x, y []float64, lo, hi int, dst []float64, scr *bellScratch) {
-	for i := lo; i < hi; i++ {
-		hw, hh, x0, x1, y0, y1 := g.footprint(&objs[i], x[i], y[i], scr)
+// trim drops the leading and trailing bins of a profile that starts at
+// bin b0 whose value p, and derivative dp when dp is non-nil, are exactly
+// 0, and returns the new first bin. The bell range is rounded out to
+// whole bins, so such bins are common. They contribute only exact zeros
+// to the deposit and gradient sums (+0 to the non-negative demand, ±0 to
+// a gradient sum, which is never −0), so skipping them changes no bit.
+func trim(b0 int, p, dp []float64) (int, []float64, []float64) {
+	lo, hi := 0, len(p)
+	for lo < hi && p[lo] == 0 && (dp == nil || dp[lo] == 0) {
+		lo++
+	}
+	for hi > lo && p[hi-1] == 0 && (dp == nil || dp[hi-1] == 0) {
+		hi--
+	}
+	if dp != nil {
+		dp = dp[lo:hi]
+	}
+	return b0 + lo, p[lo:hi], dp
+}
+
+// deposit adds every object's normalized bell into the demand map.
+func (g *Grid) deposit(objs []Obj, x, y []float64) {
+	scr := &g.scratch
+	for i := range objs {
+		hw, hh, x0, x1, y0, y1 := g.footprint(&objs[i], x[i], y[i])
 		px := scr.px[:x1-x0+1]
 		py := scr.py[:y1-y0+1]
 		sx, _ := profile(x[i], hw, g.Die.Lo.X, g.BinW, x0, px, nil)
@@ -394,19 +406,25 @@ func (g *Grid) depositRange(objs []Obj, x, y []float64, lo, hi int, dst []float6
 			continue
 		}
 		c := objs[i].Area / (sx * sy)
-		for by := y0; by <= y1; by++ {
-			row := dst[by*g.NX+x0 : by*g.NX+x1+1]
-			pyv := py[by-y0]
-			for k := range row {
-				row[k] += c * px[k] * pyv
+		x0, px, _ = trim(x0, px, nil)
+		y0, py, _ = trim(y0, py, nil)
+		// The deposit is (c·px)·py; c·px depends only on the column.
+		for k := range px {
+			px[k] = c * px[k]
+		}
+		for j, pyv := range py {
+			r := (y0+j)*g.NX + x0
+			row := g.demand[r : r+len(px)]
+			for k, cpx := range px {
+				row[k] += cpx * pyv
 			}
 		}
 	}
 }
 
-// gradientRange accumulates ∂N/∂ for objects [lo, hi) into gx, gy (their
-// own slots only, so ranges may run concurrently). With per-object
-// normalization c = A/(sx·sy), the exact derivative of each deposit is
+// Gradient adds ∂N/∂x and ∂N/∂y into gx and gy (either may be nil) for
+// the demand the last Value left. With per-object normalization
+// c = A/(sx·sy), the exact derivative of each deposit is
 //
 //	∂(c·px·py)/∂x = c · py · (px' − px · sx'/sx)
 //
@@ -414,9 +432,10 @@ func (g *Grid) depositRange(objs []Obj, x, y []float64, lo, hi int, dst []float6
 // differentiated rather than approximated away. The factor in parentheses
 // depends only on the bin column (its y twin only on the row), so each is
 // computed once per column or row.
-func (g *Grid) gradientRange(objs []Obj, x, y []float64, lo, hi int, gx, gy []float64, scr *bellScratch) {
-	for i := lo; i < hi; i++ {
-		hw, hh, x0, x1, y0, y1 := g.footprint(&objs[i], x[i], y[i], scr)
+func (g *Grid) Gradient(objs []Obj, x, y []float64, gx, gy []float64) {
+	scr := &g.scratch
+	for i := range objs {
+		hw, hh, x0, x1, y0, y1 := g.footprint(&objs[i], x[i], y[i])
 		px := scr.px[:x1-x0+1]
 		py := scr.py[:y1-y0+1]
 		fx := scr.dpx[:x1-x0+1]
@@ -426,17 +445,18 @@ func (g *Grid) gradientRange(objs []Obj, x, y []float64, lo, hi int, gx, gy []fl
 		if sx <= 0 || sy <= 0 {
 			continue
 		}
+		x0, px, fx = trim(x0, px, fx)
+		y0, py, dpy = trim(y0, py, dpy)
 		for k, dp := range fx {
 			fx[k] = dp - px[k]*dsx/sx
 		}
 		c := objs[i].Area / (sx * sy)
 		var gxi, gyi float64
-		for by := y0; by <= y1; by++ {
-			row := by*g.NX + x0
+		for j, pyv := range py {
+			row := (y0+j)*g.NX + x0
 			dem := g.demand[row : row+len(px)]
 			capa := g.capArea[row : row+len(px)]
-			pyv := py[by-y0]
-			fy := dpy[by-y0] - pyv*dsy/sy
+			fy := dpy[j] - pyv*dsy/sy
 			for k, pxv := range px {
 				ec := 2 * (dem[k] - capa[k]) * c
 				gxi += ec * pyv * fx[k]
@@ -525,8 +545,8 @@ func (g *Grid) DensityMap(objs []Obj, x, y []float64) []float64 {
 	return out
 }
 
-// TotalDeposited returns the sum of smoothed demand after the last Penalty
-// call; used by area-conservation tests.
+// TotalDeposited returns the sum of smoothed demand after the last Value
+// (or Penalty) call; used by area-conservation tests.
 func (g *Grid) TotalDeposited() float64 {
 	var s float64
 	for _, d := range g.demand {

@@ -285,27 +285,27 @@ func congestedObjects(rng *rand.Rand) (*Grid, []Obj, []float64, []float64) {
 
 var benchSink float64
 
-func benchPenalty(b *testing.B, workers int, grad bool) {
+// benchPenalty times Value (a line-search trial), followed by Gradient
+// when grad is set (an accepted step), the way the global placer calls
+// them.
+func benchPenalty(b *testing.B, grad bool) {
 	g, objs, x, y := congestedObjects(rand.New(rand.NewSource(31)))
-	if workers != 1 {
-		g.SetWorkers(workers)
-	}
-	var gx, gy []float64
-	if grad {
-		gx = make([]float64, len(objs))
-		gy = make([]float64, len(objs))
-	}
+	gx := make([]float64, len(objs))
+	gy := make([]float64, len(objs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = g.Penalty(objs, x, y, gx, gy)
+		benchSink = g.Value(objs, x, y)
+		if grad {
+			g.Gradient(objs, x, y, gx, gy)
+		}
 	}
 }
 
-func BenchmarkPenaltyWithGradient(b *testing.B) { benchPenalty(b, 1, true) }
+func BenchmarkPenaltyWithGradient(b *testing.B) { benchPenalty(b, true) }
 
 // BenchmarkPenaltyValue is the line-search trial path: most of the
 // evaluations a CG run makes need no gradient.
-func BenchmarkPenaltyValue(b *testing.B) { benchPenalty(b, 1, false) }
+func BenchmarkPenaltyValue(b *testing.B) { benchPenalty(b, false) }
 
 func TestDerateNarrowChannels(t *testing.T) {
 	// Two macros with a 10-unit channel between them (bins are 10 wide):
@@ -347,54 +347,3 @@ func TestDerateRequiresBothBounds(t *testing.T) {
 		t.Errorf("edge-adjacent area derated %d bins", n)
 	}
 }
-
-func TestParallelPenaltyMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	g1 := NewGrid(geom.NewRect(0, 0, 200, 200), 24, 24, 0.8)
-	g2 := NewGrid(geom.NewRect(0, 0, 200, 200), 24, 24, 0.8)
-	g1.AddFixed(geom.NewRect(30, 30, 80, 90))
-	g2.AddFixed(geom.NewRect(30, 30, 80, 90))
-	g2.SetWorkers(5)
-	n := 300
-	objs := make([]Obj, n)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range objs {
-		objs[i] = Obj{HalfW: 1 + rng.Float64()*4, HalfH: 2 + rng.Float64()*3, Area: 10 + rng.Float64()*30}
-		x[i] = rng.Float64() * 200
-		y[i] = rng.Float64() * 200
-	}
-	gx1 := make([]float64, n)
-	gy1 := make([]float64, n)
-	gx2 := make([]float64, n)
-	gy2 := make([]float64, n)
-	v1 := g1.Penalty(objs, x, y, gx1, gy1)
-	v2 := g2.Penalty(objs, x, y, gx2, gy2)
-	if math.Abs(v1-v2) > 1e-6*(1+math.Abs(v1)) {
-		t.Errorf("value differs: serial %v parallel %v", v1, v2)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(gx1[i]-gx2[i]) > 1e-6*(1+math.Abs(gx1[i])) ||
-			math.Abs(gy1[i]-gy2[i]) > 1e-6*(1+math.Abs(gy1[i])) {
-			t.Fatalf("gradient differs at obj %d: (%v,%v) vs (%v,%v)", i, gx1[i], gy1[i], gx2[i], gy2[i])
-		}
-	}
-	// Value-only path too.
-	if v1b, v2b := g1.Penalty(objs, x, y, nil, nil), g2.Penalty(objs, x, y, nil, nil); math.Abs(v1b-v2b) > 1e-6*(1+v1b) {
-		t.Errorf("value-only differs: %v vs %v", v1b, v2b)
-	}
-}
-
-func TestSetWorkersSmallInputFallsBack(t *testing.T) {
-	g := NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10, 0.8)
-	g.SetWorkers(8)
-	objs := []Obj{{HalfW: 2, HalfH: 2, Area: 16}}
-	x := []float64{50}
-	y := []float64{50}
-	// Single object: serial path must be used without panicking.
-	if v := g.Penalty(objs, x, y, nil, nil); v <= 0 {
-		t.Errorf("penalty = %v", v)
-	}
-}
-
-func BenchmarkPenaltyParallel(b *testing.B) { benchPenalty(b, 0, true) }

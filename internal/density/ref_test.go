@@ -197,6 +197,12 @@ func TestPenaltyBitIdenticalToReference(t *testing.T) {
 		}
 		objs, x, y := edgeObjects(rng, die, 60+rng.Intn(60))
 		n := len(objs)
+		// Centers on bin centers put the outermost bell bins exactly at
+		// the support's end, where value and derivative are both 0.
+		for i := 0; i < n; i += 3 {
+			x[i] = g.Die.Lo.X + (float64(rng.Intn(g.NX))+0.5)*g.BinW
+			y[i] = g.Die.Lo.Y + (float64(rng.Intn(g.NY))+0.5)*g.BinH
+		}
 		gx1, gy1 := make([]float64, n), make([]float64, n)
 		gx2, gy2 := make([]float64, n), make([]float64, n)
 		v1 := g.Penalty(objs, x, y, gx1, gy1)
@@ -211,6 +217,24 @@ func TestPenaltyBitIdenticalToReference(t *testing.T) {
 		}
 		if v := g.Penalty(objs, x, y, nil, nil); math.Float64bits(v) != math.Float64bits(v2) {
 			t.Fatalf("trial %d: value-only %v, reference %v", trial, v, v2)
+		}
+		// Value and Gradient as the placer calls them: the demand of an
+		// earlier Value at another point must be replaced, not added to.
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = x[n-1-i], y[i]+5
+		}
+		g.Value(objs, xs, ys)
+		if v := g.Value(objs, x, y); math.Float64bits(v) != math.Float64bits(v2) {
+			t.Fatalf("trial %d: Value %v, reference %v", trial, v, v2)
+		}
+		gx3, gy3 := make([]float64, n), make([]float64, n)
+		g.Gradient(objs, x, y, gx3, nil)
+		g.Gradient(objs, x, y, nil, gy3)
+		for i := 0; i < n; i++ {
+			if math.Float64bits(gx3[i]) != math.Float64bits(gx2[i]) || math.Float64bits(gy3[i]) != math.Float64bits(gy2[i]) {
+				t.Fatalf("trial %d: Gradient[%d] = (%v, %v), reference (%v, %v)", trial, i, gx3[i], gy3[i], gx2[i], gy2[i])
+			}
 		}
 	}
 }

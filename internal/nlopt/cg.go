@@ -9,9 +9,22 @@ import (
 	"math"
 )
 
-// Func is the objective: it returns f(v) and, when grad is non-nil, writes
-// ∇f(v) into grad (grad arrives zeroed).
-type Func func(v []float64, grad []float64) float64
+// Objective is what CG minimizes. The line search asks only whether a
+// trial point is good enough, so the value comes with a cutoff, and the
+// gradient is requested only at accepted points, where Value has just
+// done most of the work.
+type Objective interface {
+	// Value returns f(v). It may stop early and return ok=false once it
+	// has proved f(v) > cutoff; f is then meaningless. With ok=true, f
+	// must be exactly what an unscreened evaluation would return, so a
+	// cutoff never changes which trial the line search accepts. With
+	// cutoff = +Inf, Value always returns ok.
+	Value(v []float64, cutoff float64) (f float64, ok bool)
+	// Gradient writes ∇f(v) into grad (grad arrives zeroed). v is the
+	// point of the immediately preceding Value call, which returned ok,
+	// so an implementation may reuse what that call computed.
+	Gradient(v, grad []float64)
+}
 
 // Options tunes the CG run. Zero values select reasonable defaults.
 type Options struct {
@@ -24,8 +37,12 @@ type Options struct {
 	// objective decrease falls below it — the cheap plateau detector the
 	// placer uses to avoid burning iterations at a converged λ round.
 	RelTol float64
-	// StepInit is the first trial step length (default 1; subsequent
-	// iterations start from twice the last accepted step).
+	// StepInit is the first trial step length (default 1). Each
+	// iteration's first trial moves the largest coordinate by the current
+	// step budget, which doubles after every accepted step up to
+	// 16·StepInit and is quartered after a stalled line search. The budget
+	// does not follow the accepted step: an iteration that backtracked
+	// still starts the next one from the (doubled) budget.
 	StepInit float64
 	// MaxBacktrack bounds the Armijo halvings per iteration (default 30).
 	MaxBacktrack int
@@ -69,9 +86,17 @@ func (o Options) withDefaults() Options {
 
 // Result reports the outcome of a CG run.
 type Result struct {
-	Value     float64
-	Iters     int
+	Value float64
+	Iters int
+	// FuncEvals counts Value calls: the one at the start point and one
+	// per line-search trial, screened or not.
 	FuncEvals int
+	// GradEvals counts Gradient calls: the start point and every
+	// accepted step.
+	GradEvals int
+	// Screened counts the trials Value rejected against their cutoff
+	// (ok=false) before finishing the evaluation.
+	Screened int
 	// Converged is true when the gradient tolerance was met (as opposed
 	// to stopping on MaxIter or a stalled line search).
 	Converged bool
@@ -99,8 +124,10 @@ func dot(a, b []float64) float64 {
 // summary. The method is Polak–Ribière+ nonlinear CG: the direction is
 // reset to steepest descent whenever β < 0 or the direction loses descent,
 // which makes it globally convergent on the nonconvex placement
-// objectives it is used for.
-func CG(f Func, v []float64, opt Options) Result {
+// objectives it is used for. Each trial passes its Armijo threshold to
+// f.Value as the cutoff; an accepted trial's value becomes the new f(v)
+// and only its gradient is computed.
+func CG(f Objective, v []float64, opt Options) Result {
 	opt = opt.withDefaults()
 	n := len(v)
 	res := Result{}
@@ -114,8 +141,10 @@ func CG(f Func, v []float64, opt Options) Result {
 	dir := make([]float64, n)
 	trial := make([]float64, n)
 
-	fv := f(v, grad)
+	fv, _ := f.Value(v, math.Inf(1))
 	res.FuncEvals++
+	f.Gradient(v, grad)
+	res.GradEvals++
 	for i := range dir {
 		dir[i] = -grad[i]
 	}
@@ -157,9 +186,13 @@ func CG(f Func, v []float64, opt Options) Result {
 			if opt.Project != nil {
 				opt.Project(trial)
 			}
-			fNew = f(trial, nil)
+			cutoff := fv + opt.ArmijoC*alpha*dd
+			var ok bool
+			fNew, ok = f.Value(trial, cutoff)
 			res.FuncEvals++
-			if fNew <= fv+opt.ArmijoC*alpha*dd {
+			if !ok {
+				res.Screened++
+			} else if fNew <= cutoff {
 				accepted = true
 				break
 			}
@@ -184,8 +217,9 @@ func CG(f Func, v []float64, opt Options) Result {
 			grad[i] = 0
 		}
 		fPrev := fv
-		fv = f(v, grad)
-		res.FuncEvals++
+		fv = fNew
+		f.Gradient(v, grad)
+		res.GradEvals++
 		if opt.RelTol > 0 && fPrev-fv < opt.RelTol*(math.Abs(fPrev)+1e-30) {
 			if opt.OnIter != nil {
 				opt.OnIter(iter, fv)

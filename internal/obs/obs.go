@@ -135,6 +135,13 @@ type GPRound struct {
 	FenceDist float64 `json:"fence_dist"`
 	HPWL      float64 `json:"hpwl"`
 	CGIters   int     `json:"cg_iters"`
+	// FuncEvals, GradEvals and Screened are the round's objective value
+	// calls (line-search trials plus the start point), gradient calls
+	// (start point plus accepted steps) and trials rejected on the fence
+	// and density terms before the wirelength was computed.
+	FuncEvals int `json:"func_evals"`
+	GradEvals int `json:"grad_evals"`
+	Screened  int `json:"screened"`
 
 	// TMS is when the round was recorded, in milliseconds since recorder
 	// creation — the timestamp trace export (trace.go) places counter

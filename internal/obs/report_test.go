@@ -42,12 +42,14 @@ func goldenReport() *Report {
 		Lambda: 0.003, Mu: 0.001,
 		CoarseOverflow: 0.42, FineOverflow: 0.61,
 		FenceDist: 12.5, HPWL: 1.25e6, CGIters: 30,
+		FuncEvals: 151, GradEvals: 29, Screened: 64,
 	})
 	rec.RecordGPRound(GPRound{
 		Level: 0, Phase: "respread", Round: 1,
 		Lambda: 0.006, Mu: 0.002,
 		CoarseOverflow: 0.08, FineOverflow: 0.15,
 		FenceDist: 0, HPWL: 1.31e6, CGIters: 18,
+		FuncEvals: 90, GradEvals: 19, Screened: 40,
 	})
 	rec.RecordRouteRound(RouteRound{Context: "routability-0", Round: 0, Overflow: 240, Rerouted: 512, Batches: 0, WallMS: 12.5})
 	rec.RecordRouteRound(RouteRound{Context: "routability-0", Round: 1, Overflow: 36, Rerouted: 120, Batches: 9, WallMS: 4.25})

@@ -1,5 +1,6 @@
 // Package par centralizes worker-count policy for the data-parallel
-// kernels (wirelength, density, global routing). Every knob in the repo
+// kernels (global routing, estimation, legalization, detailed placement).
+// Every knob in the repo
 // resolves through Workers so the cap and the environment override live in
 // exactly one place.
 package par

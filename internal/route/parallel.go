@@ -150,13 +150,15 @@ func (r *Router) routeBatch(idxs []int) {
 		}
 		return
 	}
+	// Size the state pool before the workers start: they only read it.
+	r.state(w - 1)
+	states := r.states[:w]
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
-		go func(k int) {
+		go func(ss *searchState) {
 			defer wg.Done()
-			ss := r.state(k)
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(idxs) {
@@ -165,7 +167,7 @@ func (r *Router) routeBatch(idxs []int) {
 				s := &r.segs[idxs[i]]
 				s.path = r.rerouteSegment(ss, s)
 			}
-		}(k)
+		}(states[k])
 	}
 	wg.Wait()
 }

@@ -187,8 +187,8 @@ func sameBits(a, b []float64) int {
 func TestKernelsBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	type kernel struct {
-		name      string
-		fast, ref func(nl *Netlist, x, y, gx, gy []float64) float64
+		model Model
+		ref   func(nl *Netlist, x, y, gx, gy []float64) float64
 	}
 	for trial := 0; trial < 20; trial++ {
 		var nl *Netlist
@@ -200,32 +200,54 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 		}
 		gamma := []float64{0.05, 1, 2, 37}[trial%4]
 		wa, lse := WA{Gamma: gamma}, LSE{Gamma: gamma}
+		// A cache last filled at another point: Gradient must read only
+		// what the latest Value wrote.
+		c := NewCache(nl)
 		for _, k := range []kernel{
-			{"WA", wa.Eval, func(nl *Netlist, x, y, gx, gy []float64) float64 { return refWAEval(wa, nl, x, y, gx, gy) }},
-			{"LSE", lse.Eval, func(nl *Netlist, x, y, gx, gy []float64) float64 { return refLSEEval(lse, nl, x, y, gx, gy) }},
+			{wa, func(nl *Netlist, x, y, gx, gy []float64) float64 { return refWAEval(wa, nl, x, y, gx, gy) }},
+			{lse, func(nl *Netlist, x, y, gx, gy []float64) float64 { return refLSEEval(lse, nl, x, y, gx, gy) }},
 		} {
+			name := k.model.Name()
 			n := nl.NumObjs
 			gx1, gy1 := make([]float64, n), make([]float64, n)
 			gx2, gy2 := make([]float64, n), make([]float64, n)
-			v1 := k.fast(nl, x, y, gx1, gy1)
+			v1 := k.model.Eval(nl, x, y, gx1, gy1)
 			v2 := k.ref(nl, x, y, gx2, gy2)
 			if math.Float64bits(v1) != math.Float64bits(v2) {
-				t.Fatalf("trial %d %s γ=%v: value %v, reference %v", trial, k.name, gamma, v1, v2)
+				t.Fatalf("trial %d %s γ=%v: value %v, reference %v", trial, name, gamma, v1, v2)
 			}
 			if i := sameBits(gx1, gx2); i >= 0 {
-				t.Fatalf("trial %d %s γ=%v: gx[%d] = %v, reference %v", trial, k.name, gamma, i, gx1[i], gx2[i])
+				t.Fatalf("trial %d %s γ=%v: gx[%d] = %v, reference %v", trial, name, gamma, i, gx1[i], gx2[i])
 			}
 			if i := sameBits(gy1, gy2); i >= 0 {
-				t.Fatalf("trial %d %s γ=%v: gy[%d] = %v, reference %v", trial, k.name, gamma, i, gy1[i], gy2[i])
+				t.Fatalf("trial %d %s γ=%v: gy[%d] = %v, reference %v", trial, name, gamma, i, gy1[i], gy2[i])
 			}
 			// Value-only and one-axis gradient calls take the same path.
-			if v := k.fast(nl, x, y, nil, nil); math.Float64bits(v) != math.Float64bits(v2) {
-				t.Fatalf("trial %d %s: value-only %v, reference %v", trial, k.name, v, v2)
+			if v := k.model.Eval(nl, x, y, nil, nil); math.Float64bits(v) != math.Float64bits(v2) {
+				t.Fatalf("trial %d %s: value-only %v, reference %v", trial, name, v, v2)
 			}
 			gy3 := make([]float64, n)
-			k.fast(nl, x, y, nil, gy3)
+			k.model.Eval(nl, x, y, nil, gy3)
 			if i := sameBits(gy3, gy2); i >= 0 {
-				t.Fatalf("trial %d %s: y-only gy[%d] = %v, reference %v", trial, k.name, i, gy3[i], gy2[i])
+				t.Fatalf("trial %d %s: y-only gy[%d] = %v, reference %v", trial, name, i, gy3[i], gy2[i])
+			}
+			// Value and Gradient as the placer calls them, on the shared
+			// cache: first at a shifted point, then at (x, y).
+			xs, ys := make([]float64, n), make([]float64, n)
+			for i := range xs {
+				xs[i], ys[i] = x[i]*1.5+3, y[i]-7
+			}
+			k.model.Value(nl, xs, ys, c)
+			if v := k.model.Value(nl, x, y, c); math.Float64bits(v) != math.Float64bits(v2) {
+				t.Fatalf("trial %d %s: Value %v, reference %v", trial, name, v, v2)
+			}
+			gx4, gy4 := make([]float64, n), make([]float64, n)
+			k.model.Gradient(nl, c, gx4, gy4)
+			if i := sameBits(gx4, gx2); i >= 0 {
+				t.Fatalf("trial %d %s: Gradient gx[%d] = %v, reference %v", trial, name, i, gx4[i], gx2[i])
+			}
+			if i := sameBits(gy4, gy2); i >= 0 {
+				t.Fatalf("trial %d %s: Gradient gy[%d] = %v, reference %v", trial, name, i, gy4[i], gy2[i])
 			}
 		}
 	}

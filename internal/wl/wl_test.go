@@ -332,20 +332,21 @@ func congestedNetlist(rng *rand.Rand) (nl *Netlist, x, y []float64, gamma float6
 
 var benchSink float64
 
-// benchEval times m.Eval on the congested netlist, with a gradient (the
-// accepted-step path) or value only (the line-search trials, which are
-// most of the evaluations a CG run makes).
+// benchEval times Value on the congested netlist with a reused cache (a
+// line-search trial), followed by Gradient when grad is set (an accepted
+// step), the way the global placer calls them.
 func benchEval(b *testing.B, m func(gamma float64) Model, grad bool) {
 	nl, x, y, gamma := congestedNetlist(rand.New(rand.NewSource(23)))
-	var gx, gy []float64
-	if grad {
-		gx = make([]float64, nl.NumObjs)
-		gy = make([]float64, nl.NumObjs)
-	}
+	gx := make([]float64, nl.NumObjs)
+	gy := make([]float64, nl.NumObjs)
 	model := m(gamma)
+	c := NewCache(nl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = model.Eval(nl, x, y, gx, gy)
+		benchSink = model.Value(nl, x, y, c)
+		if grad {
+			model.Gradient(nl, c, gx, gy)
+		}
 	}
 }
 
@@ -361,53 +362,75 @@ func BenchmarkLSEEval(b *testing.B) {
 	benchEval(b, func(g float64) Model { return LSE{Gamma: g} }, true)
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	nl, x, y := randNetlist(rng, 200, 600)
-	for _, base := range []Model{WA{Gamma: 2}, LSE{Gamma: 2}} {
-		gx1 := make([]float64, 200)
-		gy1 := make([]float64, 200)
-		v1 := base.Eval(nl, x, y, gx1, gy1)
-		for _, workers := range []int{1, 2, 4, 7, 8} {
-			par := NewParallel(base, workers)
-			gx2 := make([]float64, 200)
-			gy2 := make([]float64, 200)
-			v2 := par.Eval(nl, x, y, gx2, gy2)
-			if math.Abs(v1-v2) > 1e-9*(1+math.Abs(v1)) {
-				t.Errorf("%s w=%d: value %v != %v", base.Name(), workers, v2, v1)
+// TestSlackBoundsNegativeRounding builds adversarial nets whose pins lie
+// within a few ulps of each other (where WA's max and min terms tie and
+// rounding alone decides the sign) at coordinates up to the bound r, and
+// checks every computed total against −Slack: per net, and summed over a
+// netlist of many such nets.
+func TestSlackBoundsNegativeRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	negative := 0
+	for _, r := range []float64{1, 700, 1e6} {
+		for _, gamma := range []float64{1e-3, 0.05, 1, 5.5, 37} {
+			nl := &Netlist{}
+			var x, y []float64
+			for deg := 2; deg <= 40; deg++ {
+				for rep := 0; rep < 8; rep++ {
+					// A near-coincident cluster: pins on objects a few
+					// ulps apart, some with tiny offsets or fixed.
+					cx, cy := (2*rng.Float64()-1)*r, (2*rng.Float64()-1)*r
+					net := Net{Weight: []float64{0, 1, 3.7}[rng.Intn(3)]}
+					for j := 0; j < deg; j++ {
+						px := math.Nextafter(cx, math.Inf(2*rng.Intn(2)-1))
+						py := cy
+						for s := rng.Intn(4); s > 0; s-- {
+							py = math.Nextafter(py, math.Inf(2*rng.Intn(2)-1))
+						}
+						if rng.Intn(8) == 0 {
+							net.Pins = append(net.Pins, PinRef{Obj: Fixed, OffX: px, OffY: py})
+							continue
+						}
+						off := 0.0
+						if rng.Intn(3) == 0 {
+							off = float64(rng.Intn(3)-1) * 0x1p-40
+						}
+						net.Pins = append(net.Pins, PinRef{Obj: len(x), OffX: off, OffY: -off})
+						x = append(x, px)
+						y = append(y, py)
+					}
+					one := &Netlist{Nets: []Net{net}, NumObjs: 0}
+					one.NumObjs = len(x)
+					nl.Nets = append(nl.Nets, net)
+					for _, m := range []Model{WA{Gamma: gamma}, LSE{Gamma: gamma}} {
+						v := m.Value(one, x, y, NewCache(one))
+						if v < 0 {
+							negative++
+						}
+						if s := Slack(one, r); v < -s {
+							t.Fatalf("%s r=%v γ=%v degree %d: value %v below −slack %v", m.Name(), r, gamma, deg, v, -s)
+						}
+					}
+				}
 			}
-			for i := range gx1 {
-				if math.Abs(gx1[i]-gx2[i]) > 1e-9*(1+math.Abs(gx1[i])) ||
-					math.Abs(gy1[i]-gy2[i]) > 1e-9*(1+math.Abs(gy1[i])) {
-					t.Fatalf("%s w=%d: gradient differs at %d", base.Name(), workers, i)
+			nl.NumObjs = len(x)
+			for _, m := range []Model{WA{Gamma: gamma}, LSE{Gamma: gamma}} {
+				if v, s := m.Value(nl, x, y, NewCache(nl)), Slack(nl, r); v < -s {
+					t.Fatalf("%s r=%v γ=%v: total %v below −slack %v", m.Name(), r, gamma, v, -s)
 				}
 			}
 		}
 	}
+	// The nets must actually reach the regime the slack exists for.
+	if negative == 0 {
+		t.Fatal("no net evaluated below zero; the test is not adversarial")
+	}
+	t.Logf("%d nets evaluated below zero", negative)
 }
 
-func TestParallelSmallFallsBack(t *testing.T) {
+func TestSlackRejectsNegativeWeights(t *testing.T) {
 	nl := twoPin()
-	x := []float64{0, 3}
-	y := []float64{0, 4}
-	par := NewParallel(WA{Gamma: 1}, 8)
-	serial := WA{Gamma: 1}.Eval(nl, x, y, nil, nil)
-	if got := par.Eval(nl, x, y, nil, nil); got != serial {
-		t.Errorf("small netlist path differs: %v vs %v", got, serial)
-	}
-	if par.Name() != "WA-parallel" {
-		t.Errorf("Name = %q", par.Name())
-	}
-}
-
-func BenchmarkWAParallelEval(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	nl, x, y := randNetlist(rng, 20000, 60000)
-	gx := make([]float64, 20000)
-	gy := make([]float64, 20000)
-	m := NewParallel(WA{Gamma: 2}, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Eval(nl, x, y, gx, gy)
+	nl.Nets[0].Weight = -1
+	if s := Slack(nl, 10); !math.IsInf(s, 1) {
+		t.Errorf("Slack with a negative weight = %v, want +Inf", s)
 	}
 }
